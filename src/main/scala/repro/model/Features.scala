@@ -1,7 +1,8 @@
 package repro.model
 
-import repro.cluster.ClusterSpec
-import repro.params.{SparkParams, ThetaC}
+import repro.cluster.{ClusterSpec, CostModel}
+import repro.params.{Candidate, SparkParams, ThetaC, ThetaP, ThetaS}
+import repro.workload.QueryGraph
 
 /** Feature assembly shared by the three model targets (§4.3).
   *
@@ -70,70 +71,90 @@ object Features {
   val hintDim: Int = 8
 
   /** The parametric-rule join algorithm code (0 none, 1 BHJ, 2 SHJ, 3 SMJ)
-    * implied by the build-side size and the `θp` thresholds in `unit19` —
-    * the compile-time stand-in for the physical operator the paper encodes.
+    * implied by the build-side size and the `θp` thresholds — the
+    * compile-time stand-in for the physical operator the paper encodes.
     */
-  def ruleAlgoCode(isJoin: Boolean, buildMb: Double, unit19: Array[Double]): Int = {
-    import SparkParams._
+  def ruleAlgoCode(isJoin: Boolean, buildMb: Double, p: ThetaP): Int =
     if (!isJoin) 0
-    else {
-      val s3 = ShuffledHashThresholdMb.fromUnit(unit19(dC + 2))
-      val s4 = BroadcastThresholdMb.fromUnit(unit19(dC + 3))
-      val s5 = ShufflePartitions.fromUnit(unit19(dC + 4))
-      if (buildMb <= s4) 1
-      else if (buildMb / math.max(1.0, s5) <= s3) 2
-      else 3
-    }
-  }
+    else if (buildMb <= p.broadcastThresholdMb) 1
+    else if (buildMb / math.max(1.0, p.shufflePartitions.toDouble) <= p.shuffledHashThresholdMb) 2
+    else 3
+
+  /** [[ruleAlgoCode]] for a 19-dim unit configuration. */
+  def ruleAlgoCode(isJoin: Boolean, buildMb: Double, unit19: Array[Double]): Int =
+    ruleAlgoCode(isJoin, buildMb, thetaPOf(unit19))
 
   /** Rule hints appended after θ: physical-operator one-hot, spill risk,
     * log total cores, log per-task memory, and log partition count — all
     * deterministic functions of the plan statistics and `θ`, mirroring the
     * physical-plan information the paper's runtime models see (§4.3). Both
     * the trainer and the predictors call this, so train/serve skew is
-    * impossible by construction.
+    * impossible by construction. Writes `hintDim` values at `out(off)`.
     */
+  def hintsInto(
+      algoCode: Int,
+      isScan: Boolean,
+      writesShuffle: Boolean,
+      inMb: Double,
+      c: ThetaC,
+      p: ThetaP,
+      s: ThetaS,
+      out: Array[Double],
+      off: Int): Unit = {
+    val partitions =
+      if (isScan) CostModel.scanPartitions(inMb, p)
+      else CostModel.shufflePartitions(inMb, c, p, s)
+    java.util.Arrays.fill(out, off, off + 3, 0.0)
+    if (algoCode >= 1 && algoCode <= 3) out(off + algoCode - 1) = 1.0
+    out(off + 3) = math.log1p(inMb / partitions / c.taskMemoryMb)
+    out(off + 4) = math.log(math.max(1.0, c.totalCores.toDouble)) / 6.0
+    out(off + 5) = math.log(math.max(1.0, c.taskMemoryMb)) / 12.0
+    out(off + 6) = math.log(partitions.toDouble) / 8.0
+    out(off + 7) = if (writesShuffle) 1.0 else 0.0
+  }
+
+  /** [[hintsInto]] for a 19-dim unit configuration, as a new array. */
   def hints(
       algoCode: Int,
       isScan: Boolean,
       writesShuffle: Boolean,
       inMb: Double,
       unit19: Array[Double]): Array[Double] = {
-    import repro.cluster.CostModel
-    val c = repro.params.ThetaC.fromUnit(unit19.slice(0, SparkParams.dC).toVector)
-    val p = repro.params.ThetaP.fromUnit(unit19.slice(SparkParams.dC, SparkParams.dC + SparkParams.dP).toVector)
-    val s = repro.params.ThetaS.fromUnit(unit19.slice(SparkParams.dC + SparkParams.dP, SparkParams.dAll).toVector)
-    val partitions =
-      if (isScan) CostModel.scanPartitions(inMb, p)
-      else CostModel.shufflePartitions(inMb, c, p, s)
-    val spillRisk = math.log1p(inMb / partitions / c.taskMemoryMb)
     val h = new Array[Double](hintDim)
-    if (algoCode >= 1 && algoCode <= 3) h(algoCode - 1) = 1.0
-    h(3) = spillRisk
-    h(4) = math.log(math.max(1.0, c.totalCores.toDouble)) / 6.0
-    h(5) = math.log(math.max(1.0, c.taskMemoryMb)) / 12.0
-    h(6) = math.log(partitions.toDouble) / 8.0
-    h(7) = if (writesShuffle) 1.0 else 0.0
+    val cand = Candidate.fromUnit19(unit19)
+    hintsInto(algoCode, isScan, writesShuffle, inMb, cand.c.theta, cand.p.theta, cand.s.theta, h, 0)
     h
   }
 
-  /** Whether a subQ writes its output to a shuffle exchange under `θ`: it
+  /** Whether a subQ writes its output to a shuffle exchange under `θp`: it
     * has a parent, and the parent join is not compiled as a BHJ (broadcast
     * parents consume their children via collect/pipeline instead). Shared
     * by the trainer and predictors.
     */
   def writesShuffle(
-      g: repro.workload.QueryGraph,
+      g: QueryGraph,
       subId: Int,
       parentOf: Map[Int, Int],
       parentBuildMb: Int => Double,
-      unit19: Array[Double]): Boolean =
+      p: ThetaP): Boolean =
     parentOf.get(subId) match {
       case None => false
       case Some(pid) =>
         val parent = g.subQs(pid)
-        !(parent.isJoin && ruleAlgoCode(isJoin = true, parentBuildMb(pid), unit19) == 1)
+        !(parent.isJoin && ruleAlgoCode(isJoin = true, parentBuildMb(pid), p) == 1)
     }
+
+  /** [[writesShuffle]] for a 19-dim unit configuration. */
+  def writesShuffle(
+      g: QueryGraph,
+      subId: Int,
+      parentOf: Map[Int, Int],
+      parentBuildMb: Int => Double,
+      unit19: Array[Double]): Boolean =
+    writesShuffle(g, subId, parentOf, parentBuildMb, thetaPOf(unit19))
+
+  private def thetaPOf(unit19: Array[Double]): ThetaP =
+    ThetaP.fromUnit(unit19.slice(SparkParams.dC, SparkParams.dC + SparkParams.dP).toVector)
 }
 
 /** Converts model outputs into the MOO objective space (§3.3.2): query

@@ -56,8 +56,16 @@ final class Mlp(val sizes: Array[Int], seed: Long) extends Serializable {
     acts
   }
 
-  /** Predict outputs for one input vector. */
+  /** Predict outputs for one input vector with the training-time forward
+    * pass. Inference goes through [[freeze]]; this stays as the reference
+    * the frozen kernel is tested against, bit for bit.
+    */
   def predict(x: Array[Double]): Array[Double] = forwardAll(x).last
+
+  /** A frozen inference copy of the current weights (see [[MlpKernel]]).
+    * Later training does not change it.
+    */
+  def freeze(): MlpKernel = new MlpKernel(w, b)
 
   /** One Adam step on a mini-batch; returns the batch MSE. */
   private def step(xs: Array[Array[Double]], ys: Array[Array[Double]], lr: Double): Double = {
@@ -170,4 +178,126 @@ final class Mlp(val sizes: Array[Int], seed: Long) extends Serializable {
     }
     lastLoss
   }
+}
+
+/** Allocation-free inference copy of an [[Mlp]]'s weights.
+  *
+  * Weights are stored transposed, one array per *input* unit
+  * (`wT(l)(i)(o)`), so a layer is computed as
+  * `acc = bias; for i ascending: if (h(i) != 0) acc(o) += wT(i)(o) * h(i)`.
+  * The inner loop walks `acc` and `wT(l)(i)` with the same index, which the
+  * JIT vectorises. A layer after the first with fewer than 8 outputs (the
+  * 2-wide output layer) is too narrow for that loop and keeps the
+  * row-per-output layout, as one dot product per output.
+  *
+  * Results are bit-identical to [[Mlp.predict]]: each output unit adds its
+  * terms to the bias in ascending input order, exactly as the training-time
+  * pass does (the JVM never contracts `a + b * c` to a fused multiply-add).
+  * Skipping an exact-zero input can change only the sign of a zero
+  * accumulator, which ReLU and the `exp` of the output mapping both erase.
+  *
+  * Because the first layer is one running sum per output unit, a caller may
+  * accumulate a θ-independent input prefix once ([[accumulate]] from input
+  * 0) and finish many forward passes from a copy of it (Fig 6 of the paper:
+  * the plan embedding does not depend on θ).
+  */
+final class MlpKernel private[model] (w: Array[Array[Array[Double]]], b: Array[Array[Double]])
+    extends Serializable {
+
+  private val nLayers = w.length
+  private val byInput: Array[Boolean] = Array.tabulate(nLayers)(l => l == 0 || w(l).length >= MlpKernel.NarrowWidth)
+  // weights(l) is wT(l)(i)(o) when byInput(l), else w(l)(o)(i).
+  private val weights: Array[Array[Array[Double]]] = Array.tabulate(nLayers) { l =>
+    val wl = w(l)
+    if (byInput(l)) Array.tabulate(wl(0).length, wl.length)((i, o) => wl(o)(i)) else wl.map(_.clone)
+  }
+  private val bias: Array[Array[Double]] = b.map(_.clone)
+
+  /** Input width. */
+  val inDim: Int = weights(0).length
+
+  /** Width of the first hidden layer (the accumulator [[accumulate]] fills). */
+  val firstWidth: Int = bias(0).length
+
+  /** A first-layer accumulator holding only the bias. */
+  def newAccumulator(): Array[Double] = bias(0).clone
+
+  /** Scratch buffers for [[finish]]: one per layer after the first. */
+  def newBuffers(): Array[Array[Double]] = {
+    val out = new Array[Array[Double]](nLayers - 1)
+    var l = 1
+    while (l < nLayers) { out(l - 1) = new Array[Double](bias(l).length); l += 1 }
+    out
+  }
+
+  private def addByInput(wT: Array[Array[Double]], acc: Array[Double], from: Int, x: Array[Double], len: Int): Unit = {
+    val n = acc.length
+    var j = 0
+    while (j < len) {
+      val xj = x(j)
+      if (xj != 0.0) {
+        val row = wT(from + j)
+        var o = 0
+        while (o < n) { acc(o) += row(o) * xj; o += 1 }
+      }
+      j += 1
+    }
+  }
+
+  private def dotByOutput(wl: Array[Array[Double]], bl: Array[Double], out: Array[Double], x: Array[Double]): Unit = {
+    var o = 0
+    while (o < out.length) {
+      val row = wl(o)
+      var s = bl(o)
+      var i = 0
+      while (i < x.length) { val xi = x(i); if (xi != 0.0) s += row(i) * xi; i += 1 }
+      out(o) = s
+      o += 1
+    }
+  }
+
+  /** Adds first-layer inputs `from until from + len`, whose values are
+    * `x(0 until len)`, to `acc`. Calls must come in ascending input order.
+    */
+  def accumulate(acc: Array[Double], from: Int, x: Array[Double], len: Int): Unit =
+    addByInput(weights(0), acc, from, x, len)
+
+  /** Completes a forward pass from a first-layer accumulator that holds all
+    * `inDim` inputs. Overwrites `acc` and `buffers`; returns the array that
+    * holds the outputs (the last of `buffers`, or `acc` for a net without
+    * hidden layers).
+    */
+  def finish(acc: Array[Double], buffers: Array[Array[Double]]): Array[Double] = {
+    var h = acc
+    var l = 1
+    while (l < nLayers) {
+      relu(h)
+      val next = buffers(l - 1)
+      if (byInput(l)) {
+        System.arraycopy(bias(l), 0, next, 0, next.length)
+        addByInput(weights(l), next, 0, h, h.length)
+      } else dotByOutput(weights(l), bias(l), next, h)
+      h = next
+      l += 1
+    }
+    h
+  }
+
+  private def relu(h: Array[Double]): Unit = {
+    var o = 0
+    while (o < h.length) { if (!(h(o) > 0)) h(o) = 0.0; o += 1 }
+  }
+
+  /** Full forward pass of one input vector (allocates its buffers). */
+  def predict(x: Array[Double]): Array[Double] = {
+    require(x.length == inDim, s"expected $inDim inputs, got ${x.length}")
+    val acc = newAccumulator()
+    accumulate(acc, 0, x, x.length)
+    finish(acc, newBuffers())
+  }
+}
+
+object MlpKernel {
+  // 8 doubles fill one AVX-512 register.
+  private val NarrowWidth = 8
 }

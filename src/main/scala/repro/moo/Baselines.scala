@@ -2,7 +2,7 @@ package repro.moo
 
 import scala.util.Random
 import repro.model.QueryModels
-import repro.params.{Sampling, SparkParams, ThetaC}
+import repro.params.{Candidate, Copy, Sampling, SparkParams}
 import repro.moo.Pareto.Sol
 
 /** The SOTA tuning methods the paper compares against (§6.2–6.3):
@@ -21,11 +21,19 @@ object Baselines {
 
   /** Evaluate query-level objectives for a batch of 19-dim unit samples. */
   private def evalQueryLevel(
-      qm: QueryModels, samples: Vector[Array[Double]]): Vector[(Double, Double)] =
-    samples.map { u =>
-      val c = ThetaC.fromUnit(u.slice(0, SparkParams.dC).toVector)
-      qm.queryObjectives(u, c)
-    }
+      qm: QueryModels, samples: Vector[Array[Double]]): Vector[(Double, Double)] = {
+    val cands = samples.map(Candidate.fromUnit19)
+    evalFine(qm, samples.size, _ => cands)
+  }
+
+  /** Objectives of `n` configurations whose subQ `i` copies are `perSubQ(i)`. */
+  private def evalFine(
+      qm: QueryModels, n: Int, perSubQ: Int => IndexedSeq[Candidate]): Vector[(Double, Double)] = {
+    val lat = new Array[Double](n)
+    val cost = new Array[Double](n)
+    qm.queryObjectives(perSubQ, lat, cost)
+    Vector.tabulate(n)(k => (lat(k), cost(k)))
+  }
 
   /** MO-WS over the query-level space: `nSamples` LHS draws, one raw
     * weighted-sum arg-min per weight pair, Pareto-filtered.
@@ -65,17 +73,11 @@ object Baselines {
       val sU = Vector.tabulate(m)(i => u.slice(SparkParams.dC + i * dPs + SparkParams.dP, SparkParams.dC + (i + 1) * dPs))
       FineConfig(cU, pU, sU)
     }
-    val objs = configs.map { fc =>
-      val c = fc.thetaC
-      var lat = 0.0; var cost = 0.0
-      var i = 0
-      while (i < m) {
-        val (l, co) = qm.subQObjectives(i, fc.unit19(i), c)
-        lat += l; cost += co
-        i += 1
-      }
-      (lat, cost)
+    val decoded = configs.map { fc =>
+      val c = Copy.c(fc.cU)
+      Vector.tabulate(m)(i => Candidate(c, Copy.p(fc.pU(i)), Copy.s(fc.sU(i))))
     }
+    val objs = evalFine(qm, configs.size, i => decoded.map(_(i)))
     val sols = wsArgmins(configs, objs, nWeights).map { case (fc, (l, c)) => Sol(l, c, fc) }
     MooResult(Pareto.skyline(sols), (System.nanoTime() - t0) / 1e9)
   }
@@ -106,13 +108,8 @@ object Baselines {
     val rnd = new Random(seed)
     val dim = SparkParams.dAll
 
-    def evalOne(u: Array[Double]): (Double, Double) = {
-      val c = ThetaC.fromUnit(u.slice(0, SparkParams.dC).toVector)
-      qm.queryObjectives(u, c)
-    }
-
     var pop = Sampling.latinHypercube(popSize, dim, seed).map(u => Sampling.refine(u).toArray)
-    var objs = pop.map(evalOne)
+    var objs = evalQueryLevel(qm, pop)
     var evals = popSize
 
     // Fast non-dominated ranks + crowding for selection.
@@ -139,7 +136,7 @@ object Baselines {
           child(d) = math.min(1.0, math.max(0.0, child(d) + rnd.nextGaussian() * 0.1))
         child
       }
-      val childObjs = children.map(evalOne)
+      val childObjs = evalQueryLevel(qm, children)
       evals += nChildren
       // Environmental selection: keep the best `popSize` by rank.
       val allPop = pop ++ children

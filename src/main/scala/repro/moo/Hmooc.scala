@@ -2,7 +2,7 @@ package repro.moo
 
 import scala.util.Random
 import repro.model.QueryModels
-import repro.params.{Sampling, SparkParams, ThetaC, ThetaP, ThetaS}
+import repro.params.{Candidate, Copy, Sampling, SparkParams, ThetaP, ThetaS}
 import repro.moo.Pareto.Sol
 
 /** Hierarchical MOO with Constraints — the paper's compile-time optimizer
@@ -141,19 +141,20 @@ object Hmooc {
         d
       }
 
+    // Every pool entry and θc candidate is decoded once per solve.
+    val poolP = pool.map(u => Copy.p(u.slice(0, SparkParams.dP)))
+    val poolS = pool.map(u => Copy.s(u.slice(SparkParams.dP, dPs)))
+    val lat = new Array[Double](pool.size)
+    val cost = new Array[Double](pool.size)
+
     // 2. Per-representative θp⊕θs MOO (optimize_p_moo): Pareto-optimal pool
     // indices per (rep, subQ) — Proposition 5.1 justifies keeping only these.
     val repOpt: Vector[Vector[Vector[Int]]] = reps.map { rep =>
-      val cTheta = ThetaC.fromUnit(rep.toVector)
-      val objs = Array.ofDim[(Double, Double)](m, pool.size)
-      pool.indices.foreach { pi =>
-        val unit19 = rep ++ pool(pi)
-        var i = 0
-        while (i < m) { objs(i)(pi) = qm.subQObjectives(i, unit19, cTheta); i += 1 }
-      }
+      val c = Copy.c(rep)
+      val cands = pool.indices.map(pi => Candidate(c, poolP(pi), poolS(pi)))
       Vector.tabulate(m) { i =>
-        Pareto.skyline(pool.indices.toVector.map(pi => Sol(objs(i)(pi)._1, objs(i)(pi)._2, pi)))
-          .map(_.payload)
+        qm.subQObjectives(i, cands, lat, cost)
+        Pareto.skyline(pool.indices.toVector.map(pi => Sol(lat(pi), cost(pi), pi))).map(_.payload)
       }
     }
 
@@ -162,12 +163,11 @@ object Hmooc {
     def assignOptP(cands: Vector[Array[Double]]): Vector[CandSols] =
       cands.map { cU =>
         val r = nearestRep(cU)
-        val cTheta = ThetaC.fromUnit(cU.toVector)
+        val c = Copy.c(cU)
         CandSols(cU, Vector.tabulate(m) { i =>
-          repOpt(r)(i).map { pi =>
-            val (lat, cost) = qm.subQObjectives(i, cU ++ pool(pi), cTheta)
-            SubSol(lat, cost, pi)
-          }
+          val opt = repOpt(r)(i)
+          qm.subQObjectives(i, opt.map(pi => Candidate(c, poolP(pi), poolS(pi))), lat, cost)
+          Vector.tabulate(opt.size)(k => SubSol(lat(k), cost(k), opt(k)))
         })
       }
 

@@ -227,3 +227,42 @@ object Configuration {
       ThetaS.fromUnit(u.slice(SparkParams.dC + SparkParams.dP, SparkParams.dAll)))
   }
 }
+
+/** One parameter copy in the two forms model scoring needs: unit
+  * coordinates (regressor inputs) and the typed values decoded from them
+  * (rule hints, cost). Decoding is the costly part, so solvers build each
+  * copy once and score it many times. `theta` is always decoded from
+  * `unit` (the constructor is private), so every caller sees the same
+  * values for the same coordinates.
+  */
+final class Copy[T] private (val unit: Array[Double], val theta: T)
+
+object Copy {
+  import SparkParams._
+
+  def c(unit: Array[Double]): Copy[ThetaC] = new Copy(unit, ThetaC.fromUnit(unit.toVector))
+  def p(unit: Array[Double]): Copy[ThetaP] = new Copy(unit, ThetaP.fromUnit(unit.toVector))
+  def s(unit: Array[Double]): Copy[ThetaS] = new Copy(unit, ThetaS.fromUnit(unit.toVector))
+
+  /** Encode a typed copy (e.g. one handed over by AQE) for scoring. */
+  def of(p: ThetaP): Copy[ThetaP] = Copy.p(encode(thetaPDefs, p.toVector))
+  def of(s: ThetaS): Copy[ThetaS] = Copy.s(encode(thetaSDefs, s.toVector))
+
+  private def encode(defs: Vector[ParamDef], v: Vector[Double]): Array[Double] =
+    defs.zip(v).map { case (d, x) => d.toUnit(x) }.toArray
+}
+
+/** A full configuration ready for model scoring: one copy per category.
+  * Fine-grained solvers share the `c` copy across candidates and the
+  * `p`/`s` copies across θc candidates.
+  */
+final case class Candidate(c: Copy[ThetaC], p: Copy[ThetaP], s: Copy[ThetaS])
+
+object Candidate {
+  /** Decode a 19-dim unit configuration. */
+  def fromUnit19(u: Array[Double]): Candidate = {
+    require(u.length == SparkParams.dAll, s"need ${SparkParams.dAll} coords, got ${u.length}")
+    import SparkParams.{dAll, dC, dP}
+    Candidate(Copy.c(u.slice(0, dC)), Copy.p(u.slice(dC, dC + dP)), Copy.s(u.slice(dC + dP, dAll)))
+  }
+}

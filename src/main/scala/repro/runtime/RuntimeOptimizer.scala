@@ -2,7 +2,7 @@ package repro.runtime
 
 import repro.cluster.{CostModel, RuntimeHooks}
 import repro.model.QueryModels
-import repro.params.{Sampling, SparkParams, ThetaP, ThetaS}
+import repro.params.{Candidate, Copy, Sampling, SparkParams, ThetaC, ThetaP, ThetaS}
 import repro.workload.{QueryGraph, SubQ}
 
 /** The runtime optimizer — the AQE plugin of §5.2.
@@ -35,26 +35,24 @@ final class RuntimeOptimizer(
   var optTimeSec: Double = 0.0
 
   // Candidate θp copies: a fixed LHS pool plus Spark defaults; the current
-  // copy is always added at scoring time so "keep" is an option.
+  // copy is always added at scoring time so "keep" is an option. Each is
+  // encoded for scoring once per optimizer.
   private val pCandidates: Vector[ThetaP] =
     ThetaP.default +: Sampling.latinHypercube(nThetaPCandidates - 1, SparkParams.dP, seed)
       .map(u => ThetaP.fromUnit(Sampling.refine(u)))
+  private val pCopies: Vector[Copy[ThetaP]] = pCandidates.map(Copy.of)
 
   // Candidate θs copies: small grid (2 params only).
   private val sCandidates: Vector[ThetaS] =
     ThetaS.default +: Sampling.grid(4, SparkParams.dS).map(u => ThetaS.fromUnit(u))
+  private val sCopies: Vector[Copy[ThetaS]] = sCandidates.map(Copy.of)
+  private val sDefault: Copy[ThetaS] = Copy.of(ThetaS.default)
 
-  private def unitOf(p: ThetaP, s: ThetaS): Array[Double] = {
-    val pU = SparkParams.thetaPDefs.zip(p.toVector).map { case (d, v) => d.toUnit(v) }
-    val sU = SparkParams.thetaSDefs.zip(s.toVector).map { case (d, v) => d.toUnit(v) }
-    cU ++ pU ++ sU
-  }
-
-  private val thetaC = repro.params.ThetaC.fromUnit(cU.toVector)
+  private val c: Copy[ThetaC] = Copy.c(cU)
 
   // The most recent θp copy handed back to AQE — QS-level scoring uses it
   // for the partition-count feature.
-  private var currentP: ThetaP = pInit
+  private var currentP: Copy[ThetaP] = Copy.of(pInit)
 
   override def onCollapsedPlan(
       g: QueryGraph,
@@ -63,21 +61,24 @@ final class RuntimeOptimizer(
       current: ThetaP): ThetaP = {
     val t0 = System.nanoTime()
     lqpCalls += 1
-    val cands = current +: pCandidates
-    val scored = cands.map { p =>
-      val u = unitOf(p, ThetaS.default)
-      var lat = 0.0; var cost = 0.0
-      readyJoins.foreach { j =>
-        val (l, io) = qm.predictSubQTrue(j.id, u)
-        val (ll, cc) = qm.toObjectives(l, io, thetaC)
-        lat += ll; cost += cc
+    val copies = Copy.of(current) +: pCopies
+    val cands = copies.map(p => Candidate(c, p, sDefault))
+    val n = cands.size
+    val lat = new Array[Double](n); val cost = new Array[Double](n)
+    val l = new Array[Double](n); val io = new Array[Double](n)
+    readyJoins.foreach { j =>
+      qm.predict(QueryModels.TrueStats, j.id, cands, l, io)
+      var k = 0
+      while (k < n) {
+        val (ll, cc) = qm.toObjectives(l(k), io(k), c.theta)
+        lat(k) += ll; cost(k) += cc
+        k += 1
       }
-      (p, lat, cost)
     }
-    val picked = pickPreferred(scored)
-    currentP = picked
+    val k = pickPreferred(lat, cost)
+    currentP = copies(k)
     optTimeSec += (System.nanoTime() - t0) / 1e9
-    picked
+    if (k == 0) current else pCandidates(k - 1)
   }
 
   override def onQueryStage(
@@ -93,32 +94,29 @@ final class RuntimeOptimizer(
       case Some(repro.workload.JoinAlgo.SMJ) => 3
       case None                              => 0
     }
-    val cands = current +: sCandidates
-    val scored = cands.map { s =>
-      val u = unitOf(currentP, s)
-      val (l, io) = qm.predictQs(sub.id, u, algoCode, 0.0, 0.0)
-      val (ll, cc) = qm.toObjectives(l, io, thetaC)
-      (s, ll, cc)
-    }
-    val picked = pickPreferred(scored)
+    val cands = (Copy.of(current) +: sCopies).map(s => Candidate(c, currentP, s))
+    val n = cands.size
+    val lat = new Array[Double](n); val io = new Array[Double](n)
+    qm.predict(QueryModels.Qs(algoCode), sub.id, cands, lat, io)
+    val cost = Array.tabulate(n)(k => qm.toObjectives(lat(k), io(k), c.theta)._2)
+    val k = pickPreferred(lat, cost)
     optTimeSec += (System.nanoTime() - t0) / 1e9
-    picked
+    if (k == 0) current else sCandidates(k - 1)
   }
 
   /** Preference-weighted pick over candidates, objectives normalized across
     * the candidate set (the WUN discipline applied to a point decision).
-    * The incumbent copy (first element) is kept unless a challenger is
-    * predicted at least ~8% better — hysteresis against model noise.
+    * Returns the picked index. The incumbent copy (index 0) is kept unless a
+    * challenger is predicted at least ~8% better — hysteresis against model
+    * noise.
     */
-  private def pickPreferred[T](scored: Vector[(T, Double, Double)]): T = {
-    val lmin = scored.map(_._2).min; val lr = math.max(1e-12, scored.map(_._2).max - lmin)
-    val cmin = scored.map(_._3).min; val cr = math.max(1e-12, scored.map(_._3).max - cmin)
-    def weighted(l: Double, c: Double): Double =
-      pref._1 * (l - lmin + 1e-12) / lr + pref._2 * (c - cmin + 1e-12) / cr
-    val incumbent = scored.head
-    val best = scored.minBy { case (_, l, c) => weighted(l, c) }
-    val incScore = weighted(incumbent._2, incumbent._3)
-    val bestScore = weighted(best._2, best._3)
-    if (bestScore < incScore - 0.08 * math.max(incScore, 0.1)) best._1 else incumbent._1
+  private def pickPreferred(lat: Array[Double], cost: Array[Double]): Int = {
+    val lmin = lat.min; val lr = math.max(1e-12, lat.max - lmin)
+    val cmin = cost.min; val cr = math.max(1e-12, cost.max - cmin)
+    def weighted(k: Int): Double =
+      pref._1 * (lat(k) - lmin + 1e-12) / lr + pref._2 * (cost(k) - cmin + 1e-12) / cr
+    val best = lat.indices.minBy(weighted)
+    val incScore = weighted(0)
+    if (weighted(best) < incScore - 0.08 * math.max(incScore, 0.1)) best else 0
   }
 }
